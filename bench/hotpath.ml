@@ -1,18 +1,20 @@
-(* Hot-path benchmark: histogram GBT training vs the exact-presort baseline,
-   and the frontier pebble oracle vs the legacy hashtable engine.
+(* Hot-path benchmark: the histogram GBT trainer vs the exhaustive presort
+   reference (test/ref), and the frontier pebble oracle vs the legacy
+   hashtable engine.
 
    Usage:
      dune exec bench/hotpath.exe            full sweep: GBT rebuild times at
                                             growing dataset sizes, tuner
-                                            best-config equivalence on the
-                                            ResNet layer set, legacy-vs-frontier
+                                            best runtimes on the ResNet layer
+                                            set against the recorded presort-
+                                            trainer bests, legacy-vs-frontier
                                             oracle differential over the whole
                                             sandwich smoke grid plus a
                                             24-vertex instance only the frontier
                                             engine can solve; asserts the claims
                                             and writes BENCH_hotpath.json
      dune exec bench/hotpath.exe -- smoke   <10s sanity check (no file output):
-                                            Hist-vs-Exact prediction ranking
+                                            hist-vs-reference prediction ranking
                                             agreement and q_opt equality of the
                                             two oracle engines on small
                                             instances.  HOTPATH_DEEP=1 extends
@@ -42,8 +44,8 @@ let time f =
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
 
 (* A synthetic tuning-shaped regression problem: continuous features, a
-   smooth nonlinear target with mild noise — enough structure for both split
-   methods to learn the same ranking. *)
+   smooth nonlinear target with mild noise — enough structure for both
+   trainers to learn the same ranking. *)
 let synthetic_dataset ~n ~n_features ~seed =
   let rng = Util.Rng.create seed in
   let data = Gbt.Dataset.create ~n_features in
@@ -64,15 +66,14 @@ let predictions booster data =
   Array.init (Gbt.Dataset.length data) (fun i ->
       Gbt.Booster.predict booster (Gbt.Dataset.features data i))
 
-(* Train both methods on the same data; return (exact_s, hist_s, rank
-   correlation of their predictions over the training rows). *)
+(* Train the presort reference and the histogram trainer on the same data;
+   return (exact_s, hist_s, rank correlation of their predictions over the
+   training rows). *)
 let gbt_rebuild_pair ~n ~seed =
   let data = synthetic_dataset ~n ~n_features:8 ~seed in
-  let exact, exact_s =
-    time (fun () -> Gbt.Booster.train ~domains:1 Gbt.Booster.default_params data)
-  in
+  let exact, exact_s = time (fun () -> Gbt_ref.train Gbt.Booster.default_params data) in
   let hist, hist_s =
-    time (fun () -> Gbt.Booster.train ~domains:1 Gbt.Booster.hist_params data)
+    time (fun () -> Gbt.Booster.train ~domains:1 Gbt.Booster.default_params data)
   in
   let rho = Util.Stats.spearman (predictions exact data) (predictions hist data) in
   (exact_s, hist_s, rho)
@@ -131,26 +132,40 @@ let oracle_deep_differential () =
           legacy: %s, frontier: %s"
       (describe_verdict l) (describe_verdict f)
 
-let tune_layer ~model_params ~max_measurements (name, spec) =
+let tune_layer ~max_measurements (name, spec) =
   let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
-  let result, wall =
-    time (fun () -> Core.Tuner.tune ~seed:0 ~max_measurements ~model_params ~space ())
-  in
+  let result, wall = time (fun () -> Core.Tuner.tune ~seed:0 ~max_measurements ~space ()) in
   (name, result, wall)
 
 let json_escape = String.map (fun c -> if c = '"' || c = '\\' then '_' else c)
 
-(* Best configs under Hist may differ from Exact by a documented tolerance:
-   the tuner is stochastic-search over an approximate model either way, so
-   equivalence is "best runtimes within [tune_tolerance] relative". *)
+(* Best runtimes (us) the same tunes reached when the cost model trained
+   with exhaustive presort splits (seed 0, 150 measurements, v100): the
+   last recording before the histogram trainer became the only one. *)
+let presort_bests =
+  [ ("resnet-conv2", 19.355); ("resnet-conv3", 19.355); ("resnet-conv4", 25.3115) ]
+
+(* The tuner is stochastic search over an approximate model under either
+   trainer, so equivalence is "best runtimes within [tune_tolerance]
+   relative" of the recorded presort bests. *)
 let tune_tolerance = 0.05
+
+(* Presort-vs-hist rows of the last recording that ran both trainers inside
+   the tuner; kept verbatim in the JSON's "history" key. *)
+let history_json =
+  {|  "history": {"note": "tuner runs under both split methods, recorded while the exact presort trainer was still selectable; exact_best_us are the presort_bests above", "tuner_equivalence": [
+    {"layer": "resnet-conv2", "exact_best_us": 19.3550, "hist_best_us": 19.3550, "rel_diff": 0.0000, "exact_config": "direct CHW tile=8x14x8 threads=8x7x8 unroll=4 vec=4 db=true", "hist_config": "direct CHW tile=8x14x8 threads=8x7x8 unroll=4 vec=4 db=true"},
+    {"layer": "resnet-conv3", "exact_best_us": 19.3550, "hist_best_us": 20.2722, "rel_diff": 0.0474, "exact_config": "direct CHW tile=16x7x8 threads=16x7x2 unroll=4 vec=4 db=true", "hist_config": "direct CHW tile=16x8x8 threads=16x4x8 unroll=4 vec=4 db=true"},
+    {"layer": "resnet-conv4", "exact_best_us": 25.3115, "hist_best_us": 24.6560, "rel_diff": 0.0259, "exact_config": "direct CHW tile=14x7x8 threads=7x7x8 unroll=8 vec=1 db=true", "hist_config": "direct CHW tile=7x7x8 threads=7x7x8 unroll=8 vec=4 db=false"}
+  ]},
+|}
 
 let full () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"bench\": \"hotpath\",\n";
 
   (* --- GBT rebuild times --- *)
-  print_endline "GBT rebuild, exact presort vs histogram (60 rounds, 8 features, 1 domain):";
+  print_endline "GBT rebuild, presort reference vs histogram (60 rounds, 8 features, 1 domain):";
   let sizes = [ 512; 2048; 4096 ] in
   let gbt_rows =
     List.map
@@ -174,33 +189,25 @@ let full () =
 
   (* --- Tuner equivalence on the scaling layer set --- *)
   let max_measurements = 150 in
-  Printf.printf "Tuner best-config equivalence (%d measurements per layer):\n%!"
+  Printf.printf "Tuner best runtimes vs recorded presort bests (%d measurements per layer):\n%!"
     max_measurements;
   let tuner_rows =
     List.map
       (fun layer ->
-        let name, exact_r, exact_wall =
-          tune_layer ~model_params:Gbt.Booster.default_params ~max_measurements layer
-        in
-        let _, hist_r, hist_wall =
-          tune_layer ~model_params:Gbt.Booster.hist_params ~max_measurements layer
-        in
-        let rel =
-          abs_float (hist_r.best_runtime_us -. exact_r.best_runtime_us)
-          /. exact_r.best_runtime_us
-        in
-        Printf.printf
-          "  %-14s exact best %9.1f us (%.1fs)  hist best %9.1f us (%.1fs)  rel diff %.4f\n%!"
-          name exact_r.best_runtime_us exact_wall hist_r.best_runtime_us hist_wall rel;
+        let name, r, wall = tune_layer ~max_measurements layer in
+        let presort = List.assoc name presort_bests in
+        let rel = abs_float (r.best_runtime_us -. presort) /. presort in
+        Printf.printf "  %-14s best %9.4f us (%.1fs)  presort best %9.4f us  rel diff %.4f\n%!"
+          name r.best_runtime_us wall presort rel;
         if rel > tune_tolerance then
-          fail "%s: hist best runtime deviates %.4f > %.2f tolerance" name rel
-            tune_tolerance;
+          fail "%s: best runtime deviates %.4f > %.2f tolerance from the presort best" name
+            rel tune_tolerance;
         Printf.sprintf
-          "    {\"layer\": \"%s\", \"exact_best_us\": %.4f, \"hist_best_us\": %.4f, \
-           \"rel_diff\": %.4f, \"exact_config\": \"%s\", \"hist_config\": \"%s\"}"
-          (json_escape name) exact_r.best_runtime_us hist_r.best_runtime_us rel
-          (json_escape (Core.Config.to_string exact_r.best_config))
-          (json_escape (Core.Config.to_string hist_r.best_config)))
+          "    {\"layer\": \"%s\", \"best_us\": %.4f, \"presort_best_us\": %.4f, \
+           \"rel_diff\": %.4f, \"config\": \"%s\", \"wall_s\": %.2f}"
+          (json_escape name) r.best_runtime_us presort rel
+          (json_escape (Core.Config.to_string r.best_config))
+          wall)
       layers
   in
   Buffer.add_string buf
@@ -249,9 +256,11 @@ let full () =
         \"legacy_budget\": %d, \"legacy_exhausted\": true, \"legacy_s\": %.4f, \
         \"frontier_q_opt\": %d, \"frontier_expanded\": %d, \"frontier_s\": %.4f},\n"
        (json_escape name) deep_s Verify.Oracle.default_budget ls q fe fs);
+  Buffer.add_string buf history_json;
   Buffer.add_string buf
     "  \"note\": \"GBT: 60-round boosters on a synthetic 8-feature regression, single domain, \
-     fixed seed; tuner: best configs under Hist within the documented tolerance of Exact; \
+     fixed seed, exact = the presort reference trainer; tuner: best runtimes within the \
+     documented tolerance of the recorded presort-trainer bests; \
      oracle: q_opt asserted equal on every smoke-grid pair, and the 24-vertex Winograd tile \
      is solvable only by the frontier engine at the default budget\"\n}\n";
   Util.Durable.write_atomic "BENCH_hotpath.json" (Buffer.contents buf);
@@ -259,7 +268,7 @@ let full () =
 
 let smoke () =
   let deep = Sys.getenv_opt "HOTPATH_DEEP" <> None in
-  (* GBT: both split methods must rank predictions the same way. *)
+  (* GBT: the histogram trainer must rank predictions like the reference. *)
   let _, _, rho = gbt_rebuild_pair ~n:600 ~seed:7 in
   if rho < 0.95 then fail "GBT smoke rank correlation %.4f < 0.95" rho;
   (* Oracle: engines agree on a handful of small instances. *)
@@ -281,7 +290,8 @@ let smoke () =
       le q fe
   end;
   Printf.printf
-    "hotpath-smoke OK: hist ranks like exact (rho %.3f), oracle engines agree on %d instances%s\n%!"
+    "hotpath-smoke OK: hist ranks like the presort reference (rho %.3f), oracle engines \
+     agree on %d instances%s\n%!"
     rho (List.length small)
     (if deep then " + deep differential" else "")
 

@@ -1,4 +1,4 @@
-(** Exact rational arithmetic on native integers.
+(** Rational arithmetic on native integers, without rounding.
 
     Used only to *generate* Winograd transformation matrices (interpolation
     points and Lagrange coefficients are tiny, so native ints never come close

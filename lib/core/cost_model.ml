@@ -1,16 +1,15 @@
 type t = {
   spec : Conv.Conv_spec.t;
-  params : Gbt.Booster.params;
   data : Gbt.Dataset.t;
   mutable booster : Gbt.Booster.t option;
   mutable n_failed : int;
 }
 
-let create ?(booster = Gbt.Booster.default_params) spec =
-  { spec; params = booster; data = Gbt.Dataset.create ~n_features:Config.n_features;
-    booster = None; n_failed = 0 }
+let trainer = "gbt-hist"
 
-let booster_params t = t.params
+let create spec =
+  { spec; data = Gbt.Dataset.create ~n_features:Config.n_features; booster = None;
+    n_failed = 0 }
 
 let add_measurement t cfg runtime_us =
   if (not (Float.is_finite runtime_us)) || runtime_us <= 0.0 then
@@ -31,7 +30,7 @@ let n_samples t = Gbt.Dataset.length t.data
 
 let retrain ?rng ?domains t =
   if Gbt.Dataset.length t.data > 0 then
-    t.booster <- Some (Gbt.Booster.train ?rng ?domains t.params t.data)
+    t.booster <- Some (Gbt.Booster.train ?rng ?domains Gbt.Booster.default_params t.data)
 
 let predict_runtime_us t cfg =
   match t.booster with

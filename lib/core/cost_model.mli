@@ -8,13 +8,15 @@
 
 type t
 
-val create : ?booster:Gbt.Booster.params -> Conv.Conv_spec.t -> t
-(** [booster] (default [Gbt.Booster.default_params]) selects the training
-    parameters every {!retrain} uses — in particular the
-    [Gbt.Booster.split_method]. *)
+val create : Conv.Conv_spec.t -> t
+(** An untrained model; every {!retrain} fits [Gbt.Booster.default_params]. *)
 
-val booster_params : t -> Gbt.Booster.params
-(** The parameters fixed at {!create} time. *)
+val trainer : string
+(** Stable tag ("gbt-hist") naming the trainer {!retrain} runs.  Tuned
+    results depend on it, so the service and fleet result caches fold it
+    into their generation strings: changing the trainer must change the
+    tag, which makes every cached answer of the old trainer read as
+    stale. *)
 
 val add_measurement : t -> Config.t -> float -> unit
 (** [add_measurement m config runtime_us] appends a training sample.  Raises

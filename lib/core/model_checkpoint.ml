@@ -1,6 +1,5 @@
 type entry = {
   n_samples : int;
-  split : string;
   snapshot : string;
 }
 
@@ -8,40 +7,28 @@ let kind = "gbt-checkpoint"
 
 let path_for journal = journal ^ ".ckpt"
 
+(* Line versions: c1 and c2 date from when an exact-presort trainer existed
+   beside the histogram one (c2 tagged which one wrote the line); c3 holds
+   boosters of the one histogram trainer.  Only c3 parses, so an older line
+   is never restored — its round retrains, yielding the bits a matching
+   snapshot would. *)
+let version = "c3\t"
+
 let to_line e =
   if e.n_samples <= 0 then invalid_arg "Model_checkpoint.to_line: non-positive n_samples";
-  if e.split = "" || String.exists (fun c -> c = '\t' || c = '\n' || c = '\r') e.split
-  then invalid_arg "Model_checkpoint.to_line: malformed split tag";
   if String.exists (fun c -> c = '\n' || c = '\r') e.snapshot then
     invalid_arg "Model_checkpoint.to_line: newline in snapshot";
-  Printf.sprintf "c2\t%d\t%s\t%s" e.n_samples e.split e.snapshot
+  Printf.sprintf "%s%d\t%s" version e.n_samples e.snapshot
 
-(* The snapshot itself contains tabs, so split only the leading fields.
-   "c1" lines (pre-split_method checkpoints) carry no tag; every booster
-   they were written by trained with exact splits, so that is their tag. *)
+(* The snapshot itself contains tabs, so split only the leading field. *)
 let of_line line =
-  let field_after start =
-    Option.map
-      (fun tab ->
-        (String.sub line start (tab - start), tab + 1))
-      (String.index_from_opt line start '\t')
-  in
-  let rest_after start = String.sub line start (String.length line - start) in
-  if String.length line > 3 && String.sub line 0 3 = "c1\t" then
-    match field_after 3 with
-    | Some (n_field, snap_start) -> begin
-      match int_of_string_opt n_field with
+  let v = String.length version in
+  if String.length line > v && String.sub line 0 v = version then
+    match String.index_from_opt line v '\t' with
+    | Some tab -> begin
+      match int_of_string_opt (String.sub line v (tab - v)) with
       | Some n when n > 0 ->
-        Some { n_samples = n; split = "exact"; snapshot = rest_after snap_start }
-      | _ -> None
-    end
-    | None -> None
-  else if String.length line > 3 && String.sub line 0 3 = "c2\t" then
-    match field_after 3 with
-    | Some (n_field, split_start) -> begin
-      match (int_of_string_opt n_field, field_after split_start) with
-      | Some n, Some (split, snap_start) when n > 0 && split <> "" ->
-        Some { n_samples = n; split; snapshot = rest_after snap_start }
+        Some { n_samples = n; snapshot = String.sub line (tab + 1) (String.length line - tab - 1) }
       | _ -> None
     end
     | None -> None
@@ -73,5 +60,5 @@ let recover path =
 
 let to_table entries =
   let table = Hashtbl.create (List.length entries * 2) in
-  List.iter (fun e -> Hashtbl.replace table e.n_samples (e.split, e.snapshot)) entries;
+  List.iter (fun e -> Hashtbl.replace table e.n_samples e.snapshot) entries;
   table

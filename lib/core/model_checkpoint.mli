@@ -6,24 +6,22 @@
     This file (a [Util.Durable] sibling of the tune journal, conventionally
     [journal ^ ".ckpt"]) appends one snapshot per checkpointed retrain:
 
-    {v c2 <TAB> n-samples <TAB> split-tag <TAB> Booster.to_compact v}
+    {v c3 <TAB> n-samples <TAB> Booster.to_compact v}
 
     [n_samples] — the training-set size the booster was fitted on — is the
     key: during replay the tuner's dataset retraces the killed run's
     trajectory exactly, so "a checkpoint fitted on [n] samples" identifies
     the round uniquely, and because training is deterministic and the
     snapshot round-trips bit-for-bit, restoring it is indistinguishable
-    from retraining.  The split tag ([Gbt.Booster.split_method_tag]) guards
-    the other half of that claim: a resumed run only restores a snapshot
-    trained with the same split finding it would itself use, otherwise it
-    retrains.  Legacy "c1" lines (written before split methods existed,
-    hence always exact-trained) still parse, with [split = "exact"].  A
-    corrupt or truncated checkpoint file degrades gracefully: rounds
-    without a surviving snapshot just retrain. *)
+    from retraining.  The line version names the trainer: "c1" and "c2"
+    lines date from when an exact-presort trainer existed beside the
+    histogram one (c2 tagged which one wrote it) and are never restored —
+    they count as undecodable, so their rounds retrain and land on the same
+    bits.  A corrupt or truncated checkpoint file degrades
+    gracefully: rounds without a surviving snapshot just retrain. *)
 
 type entry = {
   n_samples : int;  (** [Cost_model.n_samples] when the booster was fitted *)
-  split : string;  (** [Gbt.Booster.split_method_tag] of the training params *)
   snapshot : string;  (** [Gbt.Booster.to_compact] of the fitted booster *)
 }
 
@@ -49,5 +47,5 @@ val recover : string -> load_result
 (** Salvage + atomic repair, like [Tune_journal.recover]; warns once to
     stderr when records were dropped. *)
 
-val to_table : entry list -> (int, string * string) Hashtbl.t
-(** [(split, snapshot)] pairs keyed by [n_samples], later entries winning. *)
+val to_table : entry list -> (int, string) Hashtbl.t
+(** Snapshots keyed by [n_samples], later entries winning. *)

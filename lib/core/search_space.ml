@@ -4,6 +4,9 @@ type t = {
   algorithm : Config.algorithm;
   pruned : bool;
   shmem_budget_bytes : int;
+  xs : int list;  (* per-axis tile extent candidates *)
+  ys : int list;
+  zs : int list;
   tiles : (int * int * int) array;
   unrolls : int array;
   vectors : int array;
@@ -87,45 +90,54 @@ let x_candidates (spec : Conv.Conv_spec.t) algorithm extent =
     if extent <= e then [ e ]
     else List.init (extent / e) (fun i -> (i + 1) * e)
 
-let make ?(pruned = true) arch spec algorithm =
+(* Everything of the domain except its tile enumeration: three divisor
+   lists, cheap enough to build per audited record. *)
+let frame ~pruned arch spec algorithm =
   (match algorithm with
   | Config.Winograd_dataflow _ when not (Conv.Winograd.supported spec) ->
     invalid_arg "Search_space.make: winograd unsupported for this layer"
   | _ -> ());
-  let w_out = Conv.Conv_spec.w_out spec and h_out = Conv.Conv_spec.h_out spec in
-  let space_no_tiles =
-    {
-      arch;
-      spec;
-      algorithm;
-      pruned;
-      shmem_budget_bytes = budget_bytes arch;
-      tiles = [||];
-      unrolls = [| 1; 2; 4; 8 |];
-      vectors = [| 1; 2; 4 |];
-      layouts = Array.of_list Tensor.Layout.all;
-    }
-  in
-  let xs = x_candidates spec algorithm w_out in
-  let ys = x_candidates spec algorithm h_out in
-  let zs = with_powers_of_two spec.c_out (Optimality.divisors spec.c_out) in
-  let tiles =
-    List.concat_map
-      (fun x ->
-        List.concat_map
-          (fun y ->
-            List.filter_map
-              (fun z ->
-                let triple = (x, y, z) in
-                if tile_fits space_no_tiles triple && prune_ok space_no_tiles triple then
-                  Some triple
-                else None)
-              zs)
-          ys)
-      xs
-  in
-  if tiles = [] then invalid_arg "Search_space.make: empty domain";
-  { space_no_tiles with tiles = Array.of_list tiles }
+  {
+    arch;
+    spec;
+    algorithm;
+    pruned;
+    shmem_budget_bytes = budget_bytes arch;
+    xs = x_candidates spec algorithm (Conv.Conv_spec.w_out spec);
+    ys = x_candidates spec algorithm (Conv.Conv_spec.h_out spec);
+    zs = with_powers_of_two spec.c_out (Optimality.divisors spec.c_out);
+    tiles = [||];
+    unrolls = [| 1; 2; 4; 8 |];
+    vectors = [| 1; 2; 4 |];
+    layouts = Array.of_list Tensor.Layout.all;
+  }
+
+(* The one tile membership rule: [make] enumerates the triples it admits,
+   [validate] tests a single triple against it. *)
+let admissible space triple = tile_fits space triple && prune_ok space triple
+
+let tile_in_domain space ((x, y, z) as triple) =
+  List.mem x space.xs && List.mem y space.ys && List.mem z space.zs
+  && admissible space triple
+
+let domain_tiles space =
+  Seq.flat_map
+    (fun x ->
+      Seq.flat_map
+        (fun y ->
+          Seq.filter_map
+            (fun z -> if admissible space (x, y, z) then Some (x, y, z) else None)
+            (List.to_seq space.zs))
+        (List.to_seq space.ys))
+    (List.to_seq space.xs)
+
+let empty_domain () = invalid_arg "Search_space.make: empty domain"
+
+let make ?(pruned = true) arch spec algorithm =
+  let space = frame ~pruned arch spec algorithm in
+  let tiles = Array.of_seq (domain_tiles space) in
+  if tiles = [||] then empty_domain ();
+  { space with tiles }
 
 let thread_triples space (x, y, z) =
   let limit = space.arch.max_threads_per_block in
@@ -194,8 +206,7 @@ let validate space (cfg : Config.t) =
   let threads = (cfg.threads_x, cfg.threads_y, cfg.threads_z) in
   if cfg.algorithm <> space.algorithm then
     Error (Wrong_algorithm { expected = space.algorithm; got = cfg.algorithm })
-  else if not (Array.exists (fun t -> t = tile) space.tiles) then
-    Error (Tile_not_in_domain { tile })
+  else if not (tile_in_domain space tile) then Error (Tile_not_in_domain { tile })
   else if
     cfg.threads_x < 1 || cfg.threads_y < 1 || cfg.threads_z < 1
     || cfg.tile_x mod cfg.threads_x <> 0
@@ -226,6 +237,15 @@ let validate space (cfg : Config.t) =
   else Ok ()
 
 let mem space cfg = validate space cfg = Ok ()
+
+(* A member tile proves the domain non-empty, so only a rejection pays for
+   the emptiness test, and that stops at the first admissible triple. *)
+let validate_key ?(pruned = true) arch spec algorithm cfg =
+  let space = frame ~pruned arch spec algorithm in
+  match validate space cfg with
+  | Ok () -> Ok ()
+  | Error _ as rejected ->
+    if Seq.is_empty (domain_tiles space) then empty_domain () else rejected
 
 let pick_array rng a = a.(Util.Rng.int rng (Array.length a))
 

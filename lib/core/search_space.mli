@@ -43,7 +43,7 @@ val canonical : t -> string
 (** [canonical_key (arch t) (spec t) (algorithm t) ~pruned:(pruned t)]. *)
 
 val size : t -> float
-(** Exact number of configurations in the domain. *)
+(** The number of configurations in the domain, counted exactly. *)
 
 val tile_candidates : t -> (int * int * int) array
 (** The valid (x, y, z) tile triples. *)
@@ -62,13 +62,31 @@ type invalid =
 val validate : t -> Config.t -> (unit, invalid) result
 (** Typed membership test: [Ok ()] iff the configuration is in the domain,
     otherwise the first violated constraint in checking order (algorithm,
-    tile, thread divisibility, thread limit, knobs, shared memory). *)
+    tile, thread divisibility, thread limit, knobs, shared memory).  Tile
+    membership is decided by the predicate [make] enumerates with (each
+    extent on its axis's candidate list, the shared-memory fit and, when
+    pruned, the optimality condition), not by scanning
+    {!tile_candidates}. *)
 
 val invalid_to_string : invalid -> string
 (** Human-readable rendering including the offending sizes. *)
 
 val mem : t -> Config.t -> bool
 (** [mem s c = (validate s c = Ok ())] (used to validate neighbours). *)
+
+val validate_key :
+  ?pruned:bool ->
+  Gpu_sim.Arch.t ->
+  Conv.Conv_spec.t ->
+  Config.algorithm ->
+  Config.t ->
+  (unit, invalid) result
+(** [validate_key ?pruned arch spec algorithm c] is
+    [validate (make ?pruned arch spec algorithm) c], and raises exactly when
+    [make] would, with the same message — without enumerating the tile
+    domain (membership of [c]'s tile is decided by the rule [make] filters
+    with; only a rejected [c] checks that the domain is non-empty, stopping
+    at its first tile).  This is what auditors of stored answers use. *)
 
 val sample : t -> Util.Rng.t -> Config.t
 (** Uniform over tile triples, then uniform over the remaining axes

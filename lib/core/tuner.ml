@@ -113,14 +113,11 @@ let insert_leader cfg runtime leaders =
 let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measurements = 600)
     ?domains ?(faults = Gpu_sim.Faults.none) ?measure_policy ?journal
     ?(checkpoint_every = 16) ?(deadline_us = infinity) ?max_consecutive_failures
-    ?model_params ~space () =
+    ~space () =
   let domains = Option.value domains ~default:(Util.Parallel.recommended_domains ()) in
   let arch = Search_space.arch space and spec = Search_space.spec space in
   let rng = Util.Rng.create (seed + 17) in
-  let model = Cost_model.create ?booster:model_params spec in
-  let split_tag =
-    Gbt.Booster.split_method_tag (Cost_model.booster_params model).split_method
-  in
+  let model = Cost_model.create spec in
   let measured = Hashtbl.create 128 in
   let failed_keys = Hashtbl.create 16 in
   let best = ref None in
@@ -171,10 +168,8 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
   let last_checkpoint = ref 0 in
   let retrain_or_restore () =
     let n = Cost_model.n_samples model in
-    (* A snapshot only substitutes for a retrain when it was trained with the
-       same split finding this run uses — a tag mismatch retrains. *)
     match Hashtbl.find_opt ckpt_tbl n with
-    | Some (split, snap) when split = split_tag && Cost_model.restore model snap ->
+    | Some snap when Cost_model.restore model snap ->
       stats := { !stats with model_restores = !stats.model_restores + 1 }
     | _ -> begin
       Cost_model.retrain ~rng ~domains model;
@@ -183,7 +178,7 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
         match Cost_model.snapshot model with
         | Some snapshot ->
           Model_checkpoint.append (Model_checkpoint.path_for path)
-            { Model_checkpoint.n_samples = n; split = split_tag; snapshot };
+            { Model_checkpoint.n_samples = n; snapshot };
           last_checkpoint := !trials
         | None -> ()
       end
@@ -414,12 +409,11 @@ let tune_outcome ?(seed = 0) ?(batch_size = 16) ?(patience = 8) ?(max_measuremen
       }
 
 let tune ?seed ?batch_size ?patience ?max_measurements ?domains ?faults ?measure_policy
-    ?journal ?checkpoint_every ?deadline_us ?max_consecutive_failures ?model_params
-    ~space () =
+    ?journal ?checkpoint_every ?deadline_us ?max_consecutive_failures ~space () =
   match
     tune_outcome ?seed ?batch_size ?patience ?max_measurements ?domains ?faults
       ?measure_policy ?journal ?checkpoint_every ?deadline_us ?max_consecutive_failures
-      ?model_params ~space ()
+      ~space ()
   with
   | Ok result -> result
   | Error _ -> failwith "Tuner.tune: nothing measured"

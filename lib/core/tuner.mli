@@ -119,21 +119,13 @@ val tune_outcome :
   ?checkpoint_every:int ->
   ?deadline_us:float ->
   ?max_consecutive_failures:int ->
-  ?model_params:Gbt.Booster.params ->
   space:Search_space.t ->
   unit ->
   (result, tune_error) Stdlib.result
 (** Defaults: seed 0, batches of 16, patience 8 rounds, at most 600
     trials, [domains = Util.Parallel.recommended_domains ()], no injected
     faults, [Measure.default_policy], no journal, checkpoints every 16
-    trials, no deadline ([infinity]), no circuit breaker,
-    [Gbt.Booster.default_params] for the cost model.
-
-    [model_params] selects the cost model's booster parameters — pass
-    [Gbt.Booster.hist_params] for histogram split finding.  Checkpoints
-    record the split method's tag, and a resumed run only restores
-    snapshots whose tag matches its own (mismatches retrain), so switching
-    methods mid-journal is safe.
+    trials, no deadline ([infinity]), no circuit breaker.
 
     [max_measurements] bounds *trials* (successes plus failures), so a
     hostile fault profile cannot spin the loop beyond the budget.
@@ -202,7 +194,6 @@ val tune :
   ?checkpoint_every:int ->
   ?deadline_us:float ->
   ?max_consecutive_failures:int ->
-  ?model_params:Gbt.Booster.params ->
   space:Search_space.t ->
   unit ->
   result

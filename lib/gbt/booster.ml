@@ -1,32 +1,12 @@
-type split_method = Exact | Hist
-
-let split_method_tag = function Exact -> "exact" | Hist -> "hist"
-
-let split_method_of_tag = function
-  | "exact" -> Some Exact
-  | "hist" -> Some Hist
-  | _ -> None
-
 type params = {
   rounds : int;
   learning_rate : float;
   tree : Tree.params;
   subsample : float;
-  split_method : split_method;
-  max_bins : int;
 }
 
 let default_params =
-  {
-    rounds = 60;
-    learning_rate = 0.15;
-    tree = Tree.default_params;
-    subsample = 1.0;
-    split_method = Exact;
-    max_bins = Dataset.max_supported_bins;
-  }
-
-let hist_params = { default_params with split_method = Hist }
+  { rounds = 60; learning_rate = 0.15; tree = Tree.default_params; subsample = 1.0 }
 
 (* Trees live in an array: [predict] runs once per explorer step, thousands
    of times per tuning round, and must not chase list links. *)
@@ -44,7 +24,7 @@ let predict_many ?domains t rows =
   Util.Parallel.map ~domains rows (predict t)
 
 (* Rounds below this many samples update predictions inline: distributing a
-   few hundred tree walks costs more than running them. *)
+   few hundred additions costs more than running them. *)
 let update_grain = 512
 
 let train ?rng ?domains params data =
@@ -56,18 +36,12 @@ let train ?rng ?domains params data =
   let targets = Dataset.targets data in
   let base_score = Util.Stats.mean targets in
   let predictions = Array.make n base_score in
-  (* Histogram training quantises the dataset once per [train] call; every
-     round's trees then share the same bin matrix and cut points. *)
-  let binned =
-    match params.split_method with
-    | Exact -> None
-    | Hist -> Some (Dataset.bin ~max_bins:params.max_bins data)
-  in
+  (* The dataset is quantised once per [train] call; every round's trees
+     then share the same bin matrix and cut points. *)
+  let binned = Dataset.bin data in
   (* Reused across rounds; [fit_hist] fills every slot with the owning
-     leaf's weight, sparing the hist path a predict walk per sample. *)
-  let leaf_out =
-    match binned with Some _ -> Some (Array.make n 0.0) | None -> None
-  in
+     leaf's weight, sparing a predict walk per sample. *)
+  let leaf_out = Array.make n 0.0 in
   let trees = ref [] in
   for _ = 1 to params.rounds do
     let grad = Array.init n (fun i -> predictions.(i) -. targets.(i)) in
@@ -84,25 +58,14 @@ let train ?rng ?domains params data =
         end
       done
     | _ -> ());
-    let tree =
-      match binned with
-      | None -> Tree.fit ~domains params.tree data ~grad ~hess
-      | Some b -> Tree.fit_hist ~domains ?leaf_out params.tree b ~grad ~hess
-    in
+    let tree = Tree.fit_hist ~domains ~leaf_out params.tree binned ~grad ~hess in
     trees := tree :: !trees;
     (* Each slot is touched by exactly one iteration, so the update is a pure
        disjoint-write loop and parallelises without changing any result.  The
-       hist path reads the leaf weight recorded during the fit instead of
-       re-walking the tree; the values are bit-identical. *)
-    let update =
-      match leaf_out with
-      | Some out ->
-        fun i -> predictions.(i) <- predictions.(i) +. (params.learning_rate *. out.(i))
-      | None ->
-        fun i ->
-          predictions.(i) <-
-            predictions.(i)
-            +. (params.learning_rate *. Tree.predict tree (Dataset.features data i))
+       leaf weight recorded during the fit equals a [Tree.predict] walk of
+       the sample, bit for bit. *)
+    let update i =
+      predictions.(i) <- predictions.(i) +. (params.learning_rate *. leaf_out.(i))
     in
     if n >= update_grain then Util.Parallel.for_ ~domains 0 n update
     else

@@ -5,40 +5,29 @@
     residual gradients ([grad = prediction - target], [hess = 1]) with
     shrinkage [learning_rate], starting from the mean target.
 
+    Every tree is fitted with histogram split finding ({!Tree.fit_hist}):
+    the dataset is quantised once per [train] call into at most
+    {!Dataset.max_supported_bins} bins per feature, and all rounds share
+    that bin matrix.
+
     Multicore: [train] and [predict_many] fan work out over [Pool.default]
-    when [domains > 1] — per-feature split scans and subtree builds inside
-    [Tree.fit], the per-round prediction-update loop, and batch prediction.
-    Boosting itself stays sequential (round [k+1] needs round [k]'s
-    residuals), and every parallel stage writes disjoint slots and combines
-    in a fixed order, so the trained model and all predictions are
-    bit-identical for every domain count. *)
-
-type split_method =
-  | Exact  (** presort-per-tree, scans every sample of a node per feature *)
-  | Hist  (** quantised histogram bins, [Tree.fit_hist] *)
-
-val split_method_tag : split_method -> string
-(** Stable lowercase tag ("exact" / "hist") used in checkpoint framing and
-    benchmark output. *)
-
-val split_method_of_tag : string -> split_method option
-(** Inverse of {!split_method_tag}; [None] on anything else. *)
+    when [domains > 1] — per-feature histogram accumulation and subtree
+    builds inside [Tree.fit_hist], the per-round prediction-update loop,
+    and batch prediction.  Boosting itself stays sequential (round [k+1]
+    needs round [k]'s residuals), and every parallel stage writes disjoint
+    slots and combines in a fixed order, so the trained model and all
+    predictions are bit-identical for every domain count. *)
 
 type params = {
   rounds : int;
   learning_rate : float;
   tree : Tree.params;
   subsample : float;  (** row subsampling fraction per round, in (0, 1] *)
-  split_method : split_method;
-  max_bins : int;  (** histogram bins per feature, only read under [Hist] *)
 }
 
 val default_params : params
-(** 60 rounds, learning rate 0.15, default trees, no subsampling, [Exact]
-    splits (bit-compatible with pre-histogram behaviour), 256 bins. *)
-
-val hist_params : params
-(** {!default_params} with [split_method = Hist]. *)
+(** 60 rounds, learning rate 0.15, default trees, no subsampling — the
+    parameters the tuner's cost model trains with. *)
 
 type t
 

@@ -51,10 +51,9 @@ let fold t ~init f =
    index, stored feature-major in a Bigarray so the per-node histogram
    accumulation in [Tree.fit_hist] reads one contiguous row per feature.
    [cuts.(f).(b)] is the split threshold between bin [b] and bin [b + 1],
-   computed as the midpoint of the two adjacent distinct values — the same
-   formula the exact presort path uses, so when a feature has at most
-   [max_bins] distinct values the histogram candidate thresholds are
-   bit-identical to the exact ones. *)
+   computed as the midpoint of the two adjacent distinct values, so when a
+   feature has at most [max_bins] distinct values the candidate thresholds
+   are bit-identical to those of an exhaustive sorted scan. *)
 
 type binned = {
   n : int;
@@ -94,7 +93,7 @@ let bin ?(max_bins = max_supported_bins) t =
     let counts = Array.of_list (List.rev !counts) in
     let nd = Array.length distinct in
     (* Close a bin between distinct values [i] and [i + 1]; the threshold is
-       their midpoint, matching [Tree.best_split_on_sorted]. *)
+       their midpoint. *)
     let boundaries =
       if nd <= max_bins then List.init (max 0 (nd - 1)) (fun i -> i)
       else begin

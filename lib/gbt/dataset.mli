@@ -40,8 +40,8 @@ val max_supported_bins : int
 val bin : ?max_bins:int -> t -> binned
 (** Quantise a snapshot of the dataset (default [max_bins = 256]).  A feature
     with at most [max_bins] distinct values gets one bin per distinct value
-    and cut points bit-identical to the exact presort path's candidate
-    thresholds (midpoints of adjacent distinct values); otherwise cut points
+    and cut points at the midpoints of adjacent distinct values (the
+    thresholds an exhaustive sorted scan would try); otherwise cut points
     are chosen so bins hold roughly equal sample counts, never splitting one
     value across bins.  Raises [Invalid_argument] when [max_bins] is outside
     [2, max_supported_bins]. *)

@@ -10,154 +10,22 @@ let leaf_weight params g h = -.g /. (h +. params.lambda)
 
 let score params g h = g *. g /. (h +. params.lambda)
 
-(* Work thresholds below which fanning a stage out across domains costs more
-   than the stage itself; below them the code runs inline on the caller. *)
-let presort_grain = 4096
-let feature_scan_grain = 4096
-let subtree_grain = 128
-
-(* Best split of a node on one feature, given the node's indices already
-   sorted by that feature's value: scan prefix gradient sums and place
-   thresholds between distinct consecutive values. *)
-let best_split_on_sorted params ~value ~grad ~hess ~sorted =
-  let n = Array.length sorted in
-  let g_total = Array.fold_left (fun acc i -> acc +. grad.(i)) 0.0 sorted in
-  let h_total = Array.fold_left (fun acc i -> acc +. hess.(i)) 0.0 sorted in
-  let base = score params g_total h_total in
-  let best = ref None in
-  let g_left = ref 0.0 and h_left = ref 0.0 in
-  for pos = 0 to n - 2 do
-    let i = sorted.(pos) in
-    g_left := !g_left +. grad.(i);
-    h_left := !h_left +. hess.(i);
-    let v = value i and v' = value sorted.(pos + 1) in
-    if v < v' then begin
-      let gain =
-        (0.5
-        *. (score params !g_left !h_left
-           +. score params (g_total -. !g_left) (h_total -. !h_left)
-           -. base))
-        -. params.gamma
-      in
-      match !best with
-      | Some (best_gain, _, _) when best_gain >= gain -> ()
-      | _ -> best := Some (gain, (v +. v') /. 2.0, pos + 1)
-    end
-  done;
-  match !best with
-  | Some (gain, threshold, split_pos) when gain > 0.0 -> Some (gain, threshold, split_pos)
-  | _ -> None
-
-let fit ?(domains = 1) params data ~grad ~hess =
-  let n = Dataset.length data in
-  if Array.length grad <> n || Array.length hess <> n then
-    invalid_arg "Tree.fit: gradient arity mismatch";
-  let n_features = Dataset.n_features data in
-  let value f i = (Dataset.features data i).(f) in
-  (* Pre-sort every feature's index order once per tree (ties broken by index
-     so the order is unique); nodes below re-derive their orders by filtering,
-     never by sorting again. *)
-  let presort_domains = if n * n_features >= presort_grain then domains else 1 in
-  let root_sorted =
-    Util.Parallel.map ~domains:presort_domains (Array.init n_features Fun.id) (fun f ->
-        let order = Array.init n Fun.id in
-        Array.sort
-          (fun i j ->
-            let c = compare (value f i) (value f j) in
-            if c <> 0 then c else compare i j)
-          order;
-        order)
-  in
-  (* [node] is the node's index set in insertion order; [sorted] holds the
-     same set once per feature, each in that feature's value order. *)
-  let rec build node sorted depth =
-    let m = Array.length node in
-    let g = Array.fold_left (fun acc i -> acc +. grad.(i)) 0.0 node in
-    let h = Array.fold_left (fun acc i -> acc +. hess.(i)) 0.0 node in
-    let as_leaf () = Leaf (leaf_weight params g h) in
-    if depth >= params.max_depth || m < params.min_samples then as_leaf ()
-    else begin
-      let scan_domains = if m * n_features >= feature_scan_grain then domains else 1 in
-      let candidates =
-        Util.Parallel.mapi ~domains:scan_domains sorted (fun f sorted_f ->
-            best_split_on_sorted params ~value:(value f) ~grad ~hess ~sorted:sorted_f)
-      in
-      (* Fold candidates in feature order (strictly-greater gain wins) so the
-         chosen split never depends on the domain count. *)
-      let best = ref None in
-      Array.iteri
-        (fun f candidate ->
-          match candidate with
-          | None -> ()
-          | Some (gain, threshold, split_pos) -> begin
-            match !best with
-            | Some (best_gain, _, _, _) when best_gain >= gain -> ()
-            | _ -> best := Some (gain, f, threshold, split_pos)
-          end)
-        candidates;
-      match !best with
-      | None -> as_leaf ()
-      | Some (_, feature, threshold, split_pos) ->
-        let chosen = sorted.(feature) in
-        let left_mask = Array.make n false in
-        for pos = 0 to split_pos - 1 do
-          left_mask.(chosen.(pos)) <- true
-        done;
-        (* Filtering a sorted order preserves it, so children inherit their
-           per-feature orders in O(m) instead of re-sorting. *)
-        let filter keep arr =
-          let out = Array.make (if keep then split_pos else m - split_pos) 0 in
-          let j = ref 0 in
-          Array.iter
-            (fun i ->
-              if left_mask.(i) = keep then begin
-                out.(!j) <- i;
-                incr j
-              end)
-            arr;
-          out
-        in
-        let left_node = filter true node and right_node = filter false node in
-        let left_sorted = Array.map (filter true) sorted in
-        let right_sorted = Array.map (filter false) sorted in
-        if domains > 1 && m >= subtree_grain then begin
-          let left = ref (Leaf 0.0) and right = ref (Leaf 0.0) in
-          Util.Pool.run_all (Util.Pool.default ())
-            [
-              (fun () -> left := build left_node left_sorted (depth + 1));
-              (fun () -> right := build right_node right_sorted (depth + 1));
-            ];
-          Split { feature; threshold; left = !left; right = !right }
-        end
-        else
-          Split
-            {
-              feature;
-              threshold;
-              left = build left_node left_sorted (depth + 1);
-              right = build right_node right_sorted (depth + 1);
-            }
-    end
-  in
-  build (Array.init n Fun.id) root_sorted 0
-
-(* --- Histogram split finding ---
-
-   Instead of maintaining per-feature sorted index orders and scanning every
-   sample of a node per feature, work on the quantised [Dataset.binned] view:
+(* Histogram split finding over the quantised [Dataset.binned] view:
    accumulate per-(feature, bin) gradient/hessian/count sums for the node
    (O(m * n_features)), then scan the bins (O(n_features * n_bins)) for the
    best cut.  Each child needs its own histogram; the subtraction trick
    builds only the smaller child's by accumulation and derives the larger
    sibling's as parent - smaller, halving the accumulation work per level.
 
-   Gain and leaf-weight formulas are shared with the exact path.  Candidate
-   thresholds are the fixed bin cuts, so on features with more distinct
-   values than bins the chosen split is an approximation of the exact one;
-   the per-node statistics themselves are exact (every sample lands in
-   exactly one bin). *)
+   Candidate thresholds are the fixed bin cuts, so on features with more
+   distinct values than bins the chosen split approximates the one an
+   exhaustive sorted scan would find; the per-node statistics themselves are
+   exact (every sample lands in exactly one bin). *)
 
+(* Work thresholds below which fanning a stage out across domains costs more
+   than the stage itself; below them the code runs inline on the caller. *)
 let hist_grain = 4096
+let subtree_grain = 128
 
 type hist = { hg : float array; hh : float array; hc : int array }
 
@@ -229,7 +97,7 @@ let fit_hist ?(domains = 1) ?leaf_out params binned ~grad ~hess =
   (* Best cut of one feature: prefix-scan the bins.  A candidate exists at a
      cut only when both sides are non-empty; among equal gains the first
      (lowest cut) wins, and across features the fold below keeps the lowest
-     feature index — the same tie-breaking as the exact path. *)
+     feature index, so the chosen split never depends on the domain count. *)
   let best_on_feature h ~m ~g_total ~h_total ~base f =
     let nb = Dataset.n_bins binned f in
     let off = f * stride in

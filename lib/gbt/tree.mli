@@ -20,17 +20,6 @@ val default_params : params
 
 type t
 
-val fit : ?domains:int -> params -> Dataset.t -> grad:float array -> hess:float array -> t
-(** Fits one tree to the per-sample gradient statistics.  Arrays must have
-    the dataset's length.
-
-    Per-feature sorted index orders are computed once per tree and filtered
-    down the recursion (children never re-sort).  With [domains > 1]
-    (default 1) the per-feature split scans and the two subtree builds fan
-    out over [Pool.default]; the fitted tree is bit-identical for every
-    domain count: split candidates are folded in feature order and all
-    floating-point accumulations happen in a fixed sequential order. *)
-
 val fit_hist :
   ?domains:int ->
   ?leaf_out:float array ->
@@ -43,11 +32,14 @@ val fit_hist :
     per-(feature, bin) gradient/hessian sums are accumulated in O(samples x
     features), bins are scanned for the best cut, and each level's larger
     child derives its histogram by subtracting the (freshly accumulated)
-    smaller sibling's from the parent's.  Gain/leaf formulas, the
-    [gain > 0] requirement and all tie-breaking match {!fit}; candidate
+    smaller sibling's from the parent's.  A split needs [gain > 0]; among
+    equal gains the lowest cut of the lowest feature wins.  Candidate
     thresholds are the fixed bin cuts, so on features with more distinct
-    values than bins the split is an approximation of the exact one.  Like
-    {!fit}, the result is bit-identical at every [domains] count.
+    values than bins the split approximates the best threshold an
+    exhaustive sorted scan would find.  With [domains > 1] (default 1) the
+    per-feature accumulation and the two subtree builds fan out over
+    [Pool.default]; the fitted tree is bit-identical at every [domains]
+    count.
 
     When [leaf_out] (length = sample count) is given, slot [i] is set to the
     weight of the leaf sample [i] lands in — bit-identical to

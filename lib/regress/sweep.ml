@@ -9,8 +9,8 @@ let default_settings = { seed = 0; budget = 120; backend = Cnn.Runner.Cudnn }
 let backend_token = function Cnn.Runner.Cudnn -> "cudnn" | Cnn.Runner.Miopen -> "miopen"
 
 let generation s =
-  Printf.sprintf "fleet;seed=%d;budget=%d;backend=%s" s.seed s.budget
-    (backend_token s.backend)
+  Printf.sprintf "fleet;seed=%d;budget=%d;backend=%s;trainer=%s" s.seed s.budget
+    (backend_token s.backend) Core.Cost_model.trainer
 
 let fleet_models () = Cnn.Models.evaluation_models @ [ Cnn.Models.mobilenet ]
 let fleet_arches () = Gpu_sim.Arch.all

@@ -29,9 +29,10 @@ val backend_token : Cnn.Runner.backend -> string
 (** ["cudnn"] / ["miopen"]. *)
 
 val generation : settings -> string
-(** The [Service.Result_cache] generation string for these settings —
-    changing any setting invalidates the warm layer instead of replaying
-    results measured under a different contract. *)
+(** The [Service.Result_cache] generation string for these settings and
+    [Core.Cost_model.trainer] — changing any setting or the trainer
+    invalidates the warm layer instead of replaying results measured under
+    a different contract. *)
 
 val fleet_models : unit -> Cnn.Models.t list
 (** The evaluation networks plus MobileNet-v1 — the models the fleet

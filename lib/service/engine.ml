@@ -27,11 +27,13 @@ let default_settings =
     scrub_per_step = 0;
   }
 
-(* Only settings that change *what a search computes* belong in the
-   generation: serving-side knobs (admission bounds, retry hints, fault
-   injection, journalling) do not invalidate previously correct answers. *)
+(* Only what changes *what a search computes* belongs in the generation —
+   the search settings and the cost model's trainer: serving-side knobs
+   (admission bounds, retry hints, fault injection, journalling) do not
+   invalidate previously correct answers. *)
 let generation_of_settings s =
-  Printf.sprintf "trials=%d;seed=%d;breaker=%d" s.budget_trials s.seed s.policy.breaker_k
+  Printf.sprintf "trials=%d;seed=%d;breaker=%d;trainer=%s" s.budget_trials s.seed
+    s.policy.breaker_k Core.Cost_model.trainer
 
 type client = int
 

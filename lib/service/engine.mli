@@ -51,9 +51,10 @@ val default_settings : settings
 
 val generation_of_settings : settings -> string
 (** The cache generation string: the {e search}-relevant settings (trial
-    budget, seed, breaker, pruning lives in the request key).  Changing any
-    of them invalidates cached results — {!create} skips records of other
-    generations and the next flush removes them. *)
+    budget, seed, breaker, pruning lives in the request key) and
+    [Core.Cost_model.trainer].  Changing any of them invalidates cached
+    results — {!create} skips records of other generations and the next
+    flush removes them. *)
 
 type t
 type client

@@ -169,32 +169,31 @@ let check ?(policy = strict) ?key ?gflops ?predicted_us:claimed_predicted
       if not (String.equal claimed derived) then flag (Key_mismatch { claimed; derived })
     | None -> ());
     (* 2. Domain membership. *)
-    (match Core.Search_space.make ~pruned arch spec algorithm with
+    (match Core.Search_space.validate_key ~pruned arch spec algorithm config with
     | exception Invalid_argument msg -> flag (Empty_domain msg)
-    | space -> (
-      match Core.Search_space.validate space config with
-      | Ok () -> ()
-      | Error why -> flag (Not_in_domain why)));
-    (* 3. Launch feasibility, via the typed checker on the bare geometry. *)
-    (match
-       Gpu_sim.Kernel_cost.make ~flops:1.0 ~io_elems:1.0
-         ~threads_per_block:(Core.Config.threads config)
-         ~shmem_bytes_per_block:(Core.Config.shmem_bytes spec config)
-         ~blocks:(Core.Config.blocks spec config) ()
-     with
-    | exception Invalid_argument _ ->
-      flag
-        (Unlaunchable
-           (Gpu_sim.Kernel_cost.Bad_geometry
-              {
-                threads_per_block = Core.Config.threads config;
-                blocks = Core.Config.blocks spec config;
-                shmem_bytes_per_block = Core.Config.shmem_bytes spec config;
-              }))
-    | probe -> (
-      match Gpu_sim.Kernel_cost.check arch probe with
-      | Ok () -> ()
-      | Error e -> flag (Unlaunchable e)));
+    | Ok () -> ()
+    | Error why -> flag (Not_in_domain why));
+    (* 3. Launch feasibility, via the typed checker on the bare geometry.
+       A geometry that cannot even be derived (a Winograd tile on a layer
+       Winograd does not support) has already failed the domain check. *)
+    (match Core.Config.shmem_bytes spec config with
+    | exception Invalid_argument _ -> ()
+    | shmem_bytes_per_block -> (
+      let threads_per_block = Core.Config.threads config
+      and blocks = Core.Config.blocks spec config in
+      match
+        Gpu_sim.Kernel_cost.make ~flops:1.0 ~io_elems:1.0 ~threads_per_block
+          ~shmem_bytes_per_block ~blocks ()
+      with
+      | exception Invalid_argument _ ->
+        flag
+          (Unlaunchable
+             (Gpu_sim.Kernel_cost.Bad_geometry
+                { threads_per_block; blocks; shmem_bytes_per_block }))
+      | probe -> (
+        match Gpu_sim.Kernel_cost.check arch probe with
+        | Ok () -> ()
+        | Error e -> flag (Unlaunchable e))));
     (* 4. Costs: finite, positive, and consistent with the analytic model. *)
     let runtime_usable = Float.is_finite runtime_us && runtime_us > 0.0 in
     if not runtime_usable then

@@ -34,7 +34,7 @@ type reason =
   | Empty_domain of string
       (** [Core.Search_space.make] rejects the (arch, spec, algorithm) *)
   | Not_in_domain of Core.Search_space.invalid
-      (** configuration fails [Core.Search_space.validate] *)
+      (** configuration fails [Core.Search_space.validate_key] *)
   | Unlaunchable of Gpu_sim.Kernel_cost.launch_error
       (** block geometry fails [Gpu_sim.Kernel_cost.check] *)
   | Cost_not_finite of { field : string; value : float }

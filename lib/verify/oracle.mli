@@ -1,4 +1,4 @@
-(** Exact red-blue pebble-game oracle: the true minimum I/O [Q_opt(S)].
+(** Red-blue pebble-game oracle, solved exactly: the true minimum I/O [Q_opt(S)].
 
     A* over game positions (red mask, blue mask) driven entirely by the pure
     transition API ([Pebble.Pebble_game.apply]), so the search explores
@@ -24,7 +24,7 @@ type mode =
   | Normalized
       (** explore WLOG-normalised plays: spills only as store+free eviction
           compounds, outputs stored-and-freed the moment they are computed
-          and never reloaded.  Exact (each normalisation is an exchange
+          and never reloaded.  Still exact (each normalisation is an exchange
           argument on move order) and orders of magnitude smaller. *)
   | Reference
       (** raw single moves, restricted only by "delete only when memory is

@@ -814,6 +814,95 @@ let test_search_space_validate_typed () =
   Alcotest.(check bool) "mem agrees with validate" false
     (Core.Search_space.mem space { cfg with unroll = 3 })
 
+(* [validate] decides tile membership by predicate and [validate_key] and
+   the auditor do so without enumerating the tile domain at all.  Over
+   arbitrary shapes x arches x algorithms x configs — tiles inside and
+   outside the domain, empty domains, unsupported Winograd layers — the
+   tile verdict must match a scan of the enumerated [tile_candidates];
+   [validate_key] must equal [validate (make ...)], raising exactly when
+   [make] raises; and the auditor must report [Empty_domain] exactly then
+   and [Not_in_domain] exactly when [validate] rejects. *)
+let qcheck_validate_key_matches_make =
+  QCheck.Test.make ~name:"validate_key = validate (make ...)" ~count:400 QCheck.int
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let pick l = List.nth l (Util.Rng.int rng (List.length l)) in
+      let arch = pick Gpu_sim.Arch.all in
+      let k = pick [ 1; 3; 5 ] in
+      let size = k + Util.Rng.int rng 30 in
+      let spec =
+        Spec.make ~c_in:(pick [ 1; 3; 16; 64; 512; 8192 ]) ~h_in:size
+          ~w_in:(pick [ size; size + 3 ])
+          ~c_out:(pick [ 1; 6; 16; 64; 96 ]) ~k_h:k ~k_w:k ~pad:(Util.Rng.int rng 2)
+          ~stride:(pick [ 1; 1; 2 ]) ()
+      in
+      let algorithm =
+        pick Core.Config.[ Direct_dataflow; Winograd_dataflow 2; Winograd_dataflow 4 ]
+      in
+      let pruned = Util.Rng.bool rng in
+      let made =
+        match Core.Search_space.make ~pruned arch spec algorithm with
+        | space -> Ok space
+        | exception Invalid_argument msg -> Error msg
+      in
+      let small () = pick [ 1; 2; 3; 4; 7; 8; 14; 16; 28; 32; 64 ] in
+      let arbitrary =
+        {
+          Core.Config.algorithm = pick Core.Config.[ algorithm; Direct_dataflow ];
+          layout = pick Tensor.Layout.all;
+          tile_x = small ();
+          tile_y = small ();
+          tile_z = small ();
+          threads_x = pick [ 1; 2; 4 ];
+          threads_y = pick [ 1; 2; 7 ];
+          threads_z = pick [ 1; 4; 8 ];
+          unroll = pick [ 1; 3; 4; 8 ];
+          vector_width = pick [ 1; 2; 4; 5 ];
+          double_buffer = Util.Rng.bool rng;
+        }
+      in
+      let cfg =
+        match made with
+        | Ok space when Util.Rng.bool rng ->
+          let c = Core.Search_space.sample space rng in
+          if Util.Rng.bool rng then c else { c with tile_z = arbitrary.tile_z }
+        | _ -> arbitrary
+      in
+      let expected = Result.map (fun space -> Core.Search_space.validate space cfg) made in
+      let tile_verdict_matches_scan =
+        match (made, expected) with
+        | Ok space, Ok verdict when cfg.algorithm = algorithm ->
+          let tile = (cfg.tile_x, cfg.tile_y, cfg.tile_z) in
+          Array.mem tile (Core.Search_space.tile_candidates space)
+          = (match verdict with
+            | Error (Core.Search_space.Tile_not_in_domain _) -> false
+            | _ -> true)
+        | _ -> true
+      in
+      let got =
+        match Core.Search_space.validate_key ~pruned arch spec algorithm cfg with
+        | v -> Ok v
+        | exception Invalid_argument msg -> Error msg
+      in
+      let reasons =
+        match
+          Verify.Audit.check
+            ~canonical:(Core.Search_space.canonical_key arch spec algorithm ~pruned)
+            ~config:cfg ~runtime_us:1.0 ()
+        with
+        | Verify.Audit.Ok -> []
+        | Verify.Audit.Suspect rs -> rs
+      in
+      let audit_empty =
+        List.exists (function Verify.Audit.Empty_domain _ -> true | _ -> false) reasons
+      and audit_outside =
+        List.exists (function Verify.Audit.Not_in_domain _ -> true | _ -> false) reasons
+      in
+      tile_verdict_matches_scan
+      && got = expected
+      && audit_empty = Result.is_error made
+      && audit_outside = (match expected with Ok (Error _) -> true | _ -> false))
+
 let test_tune_journal_roundtrip () =
   let exact = 100.0 /. 3.0 in
   let e1 = { Core.Tune_journal.key = "d|CHW|4,4,8"; outcome = Measured exact } in
@@ -1094,6 +1183,7 @@ let () =
           Alcotest.test_case "winograd tiles multiples of e" `Quick
             test_space_winograd_tiles_multiple_of_e;
           Alcotest.test_case "size matches enumeration" `Quick test_space_size_matches_enumeration;
+          QCheck_alcotest.to_alcotest qcheck_validate_key_matches_make;
           Alcotest.test_case "tuner near exhaustive optimum" `Slow
             test_tuner_near_exhaustive_optimum;
         ] );

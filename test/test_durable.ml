@@ -324,10 +324,9 @@ let arch = Gpu_sim.Arch.v100
 let spec = Conv.Conv_spec.make ~c_in:16 ~h_in:14 ~w_in:14 ~c_out:16 ~k_h:3 ~k_w:3 ~pad:1 ()
 let harsh = { Gpu_sim.Faults.default with launch_shmem_frac = 0.25 }
 
-let tune ?journal ?model_params ~domains () =
+let tune ?journal ~domains () =
   let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
-  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ~faults:harsh ?journal
-    ?model_params ~space ()
+  Core.Tuner.tune ~seed:11 ~max_measurements:60 ~domains ~faults:harsh ?journal ~space ()
 
 let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": best config") true (a.best_config = b.best_config);
@@ -336,8 +335,8 @@ let same_result name (a : Core.Tuner.result) (b : Core.Tuner.result) =
   Alcotest.(check bool) (name ^ ": history") true (a.history = b.history);
   Alcotest.(check int) (name ^ ": converged_at") a.converged_at b.converged_at
 
-let torture ?model_params ~domains ~rounds () =
-  let uninterrupted = tune ?model_params ~domains () in
+let torture ~domains ~rounds () =
+  let uninterrupted = tune ~domains () in
   let journal = Filename.temp_file "torture" ".journal" in
   Sys.remove journal;
   let ckpt = Core.Model_checkpoint.path_for journal in
@@ -345,7 +344,7 @@ let torture ?model_params ~domains ~rounds () =
     List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ journal; ckpt ]
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let journalled = tune ~journal ?model_params ~domains () in
+  let journalled = tune ~journal ~domains () in
   same_result "journalled run" uninterrupted journalled;
   Alcotest.(check bool) "checkpoints were written" true (Sys.file_exists ckpt);
   (* Pristine copies of both artifacts, restored before each round. *)
@@ -360,7 +359,7 @@ let torture ?model_params ~domains ~rounds () =
     for _ = 1 to 1 + Util.Rng.int rng 2 do
       ignore (Util.Fs_faults.inject rng (if Util.Rng.bool rng then journal else ckpt))
     done;
-    let resumed = tune ~journal ?model_params ~domains () in
+    let resumed = tune ~journal ~domains () in
     same_result (Printf.sprintf "domains=%d round=%d" domains round) uninterrupted resumed;
     if resumed.faults.journal_dropped > 0 then saw_drop := true;
     if resumed.faults.model_restores > 0 then saw_restore := true
@@ -371,17 +370,13 @@ let torture ?model_params ~domains ~rounds () =
 let test_torture_sequential () = torture ~domains:1 ~rounds:(if deep then 10 else 3) ()
 let test_torture_parallel () = torture ~domains:4 ~rounds:(if deep then 6 else 2) ()
 
-(* The same kill + corrupt + resume contract must hold when the cost model
-   trains with histogram split finding: checkpoints tagged "hist" restore to
-   the exact booster a retrain would produce, bit for bit. *)
-let test_torture_hist () =
-  torture ~model_params:Gbt.Booster.hist_params ~domains:1
-    ~rounds:(if deep then 6 else 2) ()
-
-(* Checkpoints are only reused by the split method that wrote them: a run
-   that switches methods over the same journal must retrain from measurements
-   (never restore) and still land on the uninterrupted result. *)
-let test_checkpoint_split_method_mismatch () =
+(* Checkpoints written before the histogram trainer became the only one
+   ("c1" lines, and "c2" lines tagged "exact") hold boosters this build
+   would never produce.  A resume over such a file must not restore any of
+   them — each is counted as an undecodable record — and must retrain its
+   way to the uninterrupted result.  The planted boosters are valid but
+   constant, so restoring even one would also bend the search. *)
+let test_exact_era_checkpoint_retrains () =
   let journal = Filename.temp_file "torture" ".journal" in
   Sys.remove journal;
   let ckpt = Core.Model_checkpoint.path_for journal in
@@ -389,16 +384,25 @@ let test_checkpoint_split_method_mismatch () =
     List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ journal; ckpt ]
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  let hist_run = tune ~journal ~model_params:Gbt.Booster.hist_params ~domains:1 () in
-  Alcotest.(check bool) "hist checkpoints written" true (Sys.file_exists ckpt);
-  let exact_resumed = tune ~journal ~domains:1 () in
-  Alcotest.(check int) "no cross-method restores" 0 exact_resumed.faults.model_restores;
-  let exact_fresh = tune ~domains:1 () in
-  same_result "exact replay over hist checkpoints" exact_fresh exact_resumed;
-  (* Sanity: the two methods really did tune with different boosters (the
-     journal replays identically only because measurements are replayed). *)
-  Alcotest.(check int) "same measurement count" hist_run.measurements
-    exact_resumed.measurements
+  let uninterrupted = tune ~domains:1 () in
+  ignore (tune ~journal ~domains:1 ());
+  let written = (Core.Model_checkpoint.recover ckpt).entries in
+  Alcotest.(check bool) "checkpoints written" true (written <> []);
+  Sys.remove ckpt;
+  let constant = "gbt1\t0x0p+0\t0x1.3333333333333p-3\t0" in
+  Alcotest.(check bool) "planted booster is a valid snapshot" true
+    (Gbt.Booster.of_compact constant <> None);
+  List.iteri
+    (fun i (e : Core.Model_checkpoint.entry) ->
+      Util.Durable.append ~kind:Core.Model_checkpoint.kind ckpt
+        (if i mod 2 = 0 then Printf.sprintf "c1\t%d\t%s" e.n_samples constant
+         else Printf.sprintf "c2\t%d\texact\t%s" e.n_samples constant))
+    written;
+  let resumed = tune ~journal ~domains:1 () in
+  Alcotest.(check int) "no Exact-era snapshot restored" 0 resumed.faults.model_restores;
+  Alcotest.(check int) "every Exact-era line counted as undecodable"
+    (List.length written) resumed.faults.journal_dropped;
+  same_result "resume over Exact-era checkpoints" uninterrupted resumed
 
 let () =
   Util.Pool.ensure_workers (Util.Pool.default ()) 3;
@@ -437,9 +441,7 @@ let () =
             test_torture_sequential;
           Alcotest.test_case "kill + corrupt + resume, parallel" `Quick
             test_torture_parallel;
-          Alcotest.test_case "kill + corrupt + resume, hist split" `Quick
-            test_torture_hist;
-          Alcotest.test_case "split-method mismatch retrains" `Quick
-            test_checkpoint_split_method_mismatch;
+          Alcotest.test_case "Exact-era checkpoints retrain" `Quick
+            test_exact_era_checkpoint_retrains;
         ] );
     ]

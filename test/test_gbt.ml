@@ -1,6 +1,7 @@
 (* Tests for the gradient-boosted trees library: dataset bookkeeping, single
-   regression trees on separable data, and boosting's ability to drive
-   training error down on nonlinear targets. *)
+   regression trees on separable data, boosting's ability to drive training
+   error down on nonlinear targets, and the histogram trainer against the
+   exhaustive presort reference in test/ref. *)
 
 let make_dataset n f =
   let rng = Util.Rng.create 99 in
@@ -38,6 +39,9 @@ let test_dataset_fold () =
   let total = Gbt.Dataset.fold d ~init:0.0 (fun acc _ y -> acc +. y) in
   Alcotest.(check (float 1e-9)) "fold targets" 10.0 total
 
+let fit_tree params data ~grad ~hess =
+  Gbt.Tree.fit_hist params (Gbt.Dataset.bin data) ~grad ~hess
+
 let test_tree_splits_step_function () =
   (* A single tree must nail a 1D step function. *)
   let data = make_dataset 200 (fun x0 _ -> if x0 > 0.0 then 10.0 else -10.0) in
@@ -47,7 +51,7 @@ let test_tree_splits_step_function () =
   (* With prediction 0, grad = pred - y = -y; leaf weights recover ~y for
      small lambda. *)
   let params = { Gbt.Tree.default_params with lambda = 1e-6; max_depth = 2 } in
-  let tree = Gbt.Tree.fit params data ~grad ~hess in
+  let tree = fit_tree params data ~grad ~hess in
   Alcotest.(check bool) "split found" true (Gbt.Tree.num_leaves tree >= 2);
   Alcotest.(check bool) "positive side" true
     (Float.abs (Gbt.Tree.predict tree [| 1.0; 0.0 |] -. 10.0) < 0.5);
@@ -58,7 +62,7 @@ let test_tree_pure_leaf_no_split () =
   let data = make_dataset 50 (fun _ _ -> 3.0) in
   let n = Gbt.Dataset.length data in
   let grad = Array.make n 0.0 and hess = Array.make n 1.0 in
-  let tree = Gbt.Tree.fit Gbt.Tree.default_params data ~grad ~hess in
+  let tree = fit_tree Gbt.Tree.default_params data ~grad ~hess in
   Alcotest.(check int) "constant target: single leaf" 1 (Gbt.Tree.num_leaves tree)
 
 let test_tree_depth_limited () =
@@ -67,7 +71,7 @@ let test_tree_depth_limited () =
   let grad = Array.init n (fun i -> -.Gbt.Dataset.target data i) in
   let hess = Array.make n 1.0 in
   let params = { Gbt.Tree.default_params with max_depth = 3 } in
-  let tree = Gbt.Tree.fit params data ~grad ~hess in
+  let tree = fit_tree params data ~grad ~hess in
   Alcotest.(check bool) "depth bounded" true (Gbt.Tree.depth tree <= 3)
 
 let test_booster_fits_linear () =
@@ -117,29 +121,6 @@ let test_booster_predict_many () =
   let out = Gbt.Booster.predict_many booster rows in
   Alcotest.(check int) "two predictions" 2 (Array.length out);
   Alcotest.(check bool) "ordering" true (out.(0) > out.(1))
-
-let test_training_parallel_equals_sequential () =
-  (* Bit-identical models at every domain count: split scans fold in feature
-     order and all float accumulation orders are fixed, so fanning tree
-     construction over real domains must not move a single ulp. *)
-  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
-  let data = make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1) in
-  let params = { Gbt.Booster.default_params with rounds = 12 } in
-  let seq = Gbt.Booster.train ~domains:1 params data in
-  let probes =
-    let rng = Util.Rng.create 5 in
-    Array.init 50 (fun _ ->
-        [| Util.Rng.float rng 4.0 -. 2.0; Util.Rng.float rng 4.0 -. 2.0 |])
-  in
-  let expected = Gbt.Booster.predict_many ~domains:1 seq probes in
-  List.iter
-    (fun domains ->
-      let par = Gbt.Booster.train ~domains params data in
-      let got = Gbt.Booster.predict_many ~domains par probes in
-      Alcotest.(check (array (float 0.0)))
-        (Printf.sprintf "bit-identical predictions at domains=%d" domains)
-        expected got)
-    [ 2; 4; 8 ]
 
 (* --- binned view + histogram split finding --- *)
 
@@ -204,8 +185,8 @@ let test_bin_rejects_bad_max_bins () =
     [ 1; 257 ]
 
 (* Binary features with integer-exact gradients: every float sum in either
-   path is exact and the bin cut (0.5) equals the exact midpoint, so the
-   histogram tree must be bit-for-bit the exact-presort tree. *)
+   fitter is exact and the bin cut (0.5) equals the presort midpoint, so the
+   histogram tree must be bit-for-bit the reference presort tree. *)
 let binary_dataset n =
   let rng = Util.Rng.create 17 in
   let d = Gbt.Dataset.create ~n_features:3 in
@@ -220,7 +201,7 @@ let test_hist_tree_identical_on_binnable () =
   let n = Gbt.Dataset.length d in
   let grad = Array.init n (fun i -> -.Gbt.Dataset.target d i) in
   let hess = Array.make n 1.0 in
-  let exact = Gbt.Tree.fit Gbt.Tree.default_params d ~grad ~hess in
+  let exact = Gbt_ref.fit Gbt.Tree.default_params d ~grad ~hess in
   let hist =
     Gbt.Tree.fit_hist Gbt.Tree.default_params (Gbt.Dataset.bin d) ~grad ~hess
   in
@@ -229,8 +210,8 @@ let test_hist_tree_identical_on_binnable () =
 
 let test_hist_booster_identical_on_binnable () =
   let d = binary_dataset 300 in
-  let exact = Gbt.Booster.train ~domains:1 Gbt.Booster.default_params d in
-  let hist = Gbt.Booster.train ~domains:1 Gbt.Booster.hist_params d in
+  let exact = Gbt_ref.train Gbt.Booster.default_params d in
+  let hist = Gbt.Booster.train ~domains:1 Gbt.Booster.default_params d in
   Alcotest.(check string) "bit-identical boosters" (Gbt.Booster.to_compact exact)
     (Gbt.Booster.to_compact hist)
 
@@ -245,31 +226,68 @@ let test_hist_leaf_out_matches_predict () =
   let expected = Array.init n (fun i -> Gbt.Tree.predict tree (Gbt.Dataset.features d i)) in
   Alcotest.(check (array (float 0.0))) "leaf_out = predict, bitwise" expected leaf_out
 
-let test_hist_training_parallel_equals_sequential () =
-  (* Same contract as the exact path: per-feature histogram rows are disjoint
-     and subtree sample sets are disjoint, so domain count must not move a
-     single ulp. *)
+(* Inputs for the parallel = sequential checks.  The second is large enough
+   (samples x features past the accumulation grain, samples past the update
+   grain) for every parallel stage of training to fan out. *)
+let parallel_inputs () =
+  [
+    ("600 samples", make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1));
+    ("3000 samples", make_dataset 3000 (fun x0 x1 -> (x0 *. x0) -. (2.0 *. x1) +. cos x1));
+  ]
+
+let test_training_parallel_equals_sequential () =
+  (* Bit-identical models at every domain count: per-feature histogram rows
+     and subtree sample sets are disjoint, and every float accumulation runs
+     in a fixed order, so fanning training over real domains must not move a
+     single ulp of any prediction. *)
   Util.Pool.ensure_workers (Util.Pool.default ()) 3;
-  let data = make_dataset 600 (fun x0 x1 -> (x0 *. x1) +. sin (3.0 *. x0) -. x1) in
-  let params = { Gbt.Booster.hist_params with rounds = 12 } in
-  let seq = Gbt.Booster.train ~domains:1 params data in
-  let expected = Gbt.Booster.to_compact seq in
+  let probes =
+    let rng = Util.Rng.create 5 in
+    Array.init 50 (fun _ ->
+        [| Util.Rng.float rng 4.0 -. 2.0; Util.Rng.float rng 4.0 -. 2.0 |])
+  in
+  let params = { Gbt.Booster.default_params with rounds = 12 } in
   List.iter
-    (fun domains ->
-      let par = Gbt.Booster.train ~domains params data in
-      Alcotest.(check string)
-        (Printf.sprintf "bit-identical hist booster at domains=%d" domains)
-        expected (Gbt.Booster.to_compact par))
-    [ 2; 4; 8 ]
+    (fun (name, data) ->
+      let seq = Gbt.Booster.train ~domains:1 params data in
+      let expected = Gbt.Booster.predict_many ~domains:1 seq probes in
+      List.iter
+        (fun domains ->
+          let par = Gbt.Booster.train ~domains params data in
+          Alcotest.(check (array (float 0.0)))
+            (Printf.sprintf "%s: bit-identical predictions at domains=%d" name domains)
+            expected
+            (Gbt.Booster.predict_many ~domains par probes))
+        [ 2; 4; 8 ])
+    (parallel_inputs ())
 
+let test_hist_training_parallel_equals_sequential () =
+  (* Same contract on the trained model itself: the serialized trees (every
+     split threshold and leaf weight) must match byte for byte. *)
+  Util.Pool.ensure_workers (Util.Pool.default ()) 3;
+  let params = { Gbt.Booster.default_params with rounds = 12 } in
+  List.iter
+    (fun (name, data) ->
+      let expected = Gbt.Booster.to_compact (Gbt.Booster.train ~domains:1 params data) in
+      List.iter
+        (fun domains ->
+          let par = Gbt.Booster.train ~domains params data in
+          Alcotest.(check string)
+            (Printf.sprintf "%s: bit-identical booster at domains=%d" name domains)
+            expected (Gbt.Booster.to_compact par))
+        [ 2; 4; 8 ])
+    (parallel_inputs ())
+
+(* More distinct values than bins: every cut comes from the quantile grid,
+   and the fit must still be good. *)
 let test_hist_booster_fits_nonlinear () =
-  let data = make_dataset 400 (fun x0 x1 -> (x0 *. x1) +. Float.abs x0) in
-  let booster = Gbt.Booster.train Gbt.Booster.hist_params data in
+  let data = make_dataset 1500 (fun x0 x1 -> (x0 *. x1) +. Float.abs x0) in
+  let booster = Gbt.Booster.train Gbt.Booster.default_params data in
   let rmse = Gbt.Booster.train_rmse booster data in
-  Alcotest.(check bool) (Printf.sprintf "hist rmse %.3f small" rmse) true (rmse < 0.4)
+  Alcotest.(check bool) (Printf.sprintf "quantile-binned rmse %.3f small" rmse) true (rmse < 0.4)
 
-(* On arbitrary continuous data the histogram booster is an approximation of
-   the exact one (cuts come from the global quantile grid, not per-node
+(* On arbitrary continuous data the histogram booster approximates the
+   presort reference (cuts come from the global bin grid, not per-node
    sorted orders) — but it must rank points the same way: the tuner only
    consumes the ordering.  Spearman over the train predictions of the two
    boosters stays near 1. *)
@@ -285,15 +303,13 @@ let qcheck_hist_ranks_like_exact =
           ((3.0 *. x.(0)) +. (x.(1) *. x.(1)) -. (2.0 *. x.(0) *. x.(2))
           +. Util.Rng.float rng 0.1)
       done;
-      let params rounds split_method =
-        { Gbt.Booster.default_params with rounds; split_method }
-      in
+      let params = { Gbt.Booster.default_params with rounds = 25 } in
       let predictions b =
         Array.init (Gbt.Dataset.length d) (fun i ->
             Gbt.Booster.predict b (Gbt.Dataset.features d i))
       in
-      let exact = predictions (Gbt.Booster.train (params 25 Gbt.Booster.Exact) d) in
-      let hist = predictions (Gbt.Booster.train (params 25 Gbt.Booster.Hist) d) in
+      let exact = predictions (Gbt_ref.train params d) in
+      let hist = predictions (Gbt.Booster.train params d) in
       Util.Stats.spearman exact hist > 0.9)
 
 let qcheck_booster_interpolates_mean =

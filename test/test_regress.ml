@@ -287,6 +287,35 @@ let test_harness_self_test () =
   | ms -> Alcotest.failf "expected Missing_pair, got [%s]"
             (String.concat "; " (List.map Gold.mismatch_to_string ms))
 
+(* The fleet cache's generation names the trainer too: a warm layer left by
+   a build whose generation string had no trainer tag must read as stale,
+   or `make gold` would replay that trainer's answers as current. *)
+let test_fleet_pre_trainer_generation_stale () =
+  let path = Filename.temp_file "fleet" ".cache" in
+  Sys.remove path;
+  let spec = Conv.Conv_spec.make ~c_in:16 ~h_in:14 ~w_in:14 ~c_out:16 ~k_h:3 ~k_w:3 ~pad:1 () in
+  let space = Core.Search_space.make arch spec Core.Config.Direct_dataflow in
+  let config, runtime_us = Core.Supervisor.analytic_best space in
+  let canonical = Core.Search_space.canonical space in
+  let pre = Service.Result_cache.load ~generation:"fleet;seed=0;budget=120;backend=cudnn" path in
+  Service.Result_cache.put pre
+    {
+      Service.Result_cache.key = Service.Result_cache.key_of_canonical canonical;
+      canonical;
+      source = Service.Protocol.Src_tuned;
+      runtime_us;
+      gflops = Core.Tuner.nominal_gflops spec ~runtime_us;
+      predicted_us = runtime_us;
+      trials = 120;
+      config;
+    };
+  let current =
+    Service.Result_cache.load ~generation:(Sweep.generation Sweep.default_settings) path
+  in
+  Alcotest.(check int) "pre-trainer record is stale" 1 (Service.Result_cache.stale current);
+  Alcotest.(check int) "no live entries" 0 (Service.Result_cache.entries current);
+  Sys.remove path
+
 let () =
   Alcotest.run "regress"
     [
@@ -308,5 +337,9 @@ let () =
           Alcotest.test_case "layer set drift" `Quick test_diff_layer_sets;
         ] );
       ( "harness",
-        [ Alcotest.test_case "perturbation self-test" `Slow test_harness_self_test ] );
+        [
+          Alcotest.test_case "perturbation self-test" `Slow test_harness_self_test;
+          Alcotest.test_case "pre-trainer-tag generation is stale" `Quick
+            test_fleet_pre_trainer_generation_stale;
+        ] );
     ]

@@ -240,6 +240,23 @@ let test_cache_generation_invalidation () =
     (Service.Result_cache.stale back + Service.Result_cache.entries back);
   Sys.remove path
 
+(* The cost model's trainer is part of every answer, so it is part of the
+   generation: a record written under the generation string of the default
+   settings before the trainer tag existed must read as stale, never be
+   served as current. *)
+let test_cache_pre_trainer_generation_stale () =
+  let path = temp_cache () in
+  let pre = Service.Result_cache.load ~generation:"trials=300;seed=0;breaker=5" path in
+  Service.Result_cache.put pre (sample_entry "spec-one");
+  let current =
+    Service.Result_cache.load
+      ~generation:(Service.Engine.generation_of_settings Service.Engine.default_settings)
+      path
+  in
+  Alcotest.(check int) "pre-trainer record is stale" 1 (Service.Result_cache.stale current);
+  Alcotest.(check int) "no live entries" 0 (Service.Result_cache.entries current);
+  Sys.remove path
+
 let test_cache_rejects_forged_key () =
   (* A record whose key does not hash its canonical (disk tampering, or a
      genuine FNV collision) must be ignored, never served. *)
@@ -1232,6 +1249,8 @@ let () =
             test_cache_roundtrip_persists;
           Alcotest.test_case "generation change invalidates" `Quick
             test_cache_generation_invalidation;
+          Alcotest.test_case "pre-trainer-tag generation is stale" `Quick
+            test_cache_pre_trainer_generation_stale;
           Alcotest.test_case "forged keys ignored" `Quick test_cache_rejects_forged_key;
           Alcotest.test_case "corruption salvages, never lies" `Quick
             test_cache_corruption_salvage;
